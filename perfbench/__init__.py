@@ -1,0 +1,5 @@
+"""Fleet benchmark: end-to-end metrics plus a per-layer trace.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+"""
