@@ -88,6 +88,8 @@ def test_bench_campaign_sweep(sweep_context):
         # fan-out on multi-core hosts): record what actually ran.
         "backend": result.backend,
         "engine": result.engine,
+        # OpenBLAS threads per process worker (null when in-process).
+        "blas_threads_per_worker": result.blas_threads_per_worker,
         # "auto" = every scenario carries the detector matching its
         # mechanics; the per-scenario map records which one that was.
         "detector": result.detector,

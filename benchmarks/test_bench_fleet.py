@@ -13,9 +13,15 @@ regression check; ``wall_seconds`` is environment-bound and skipped.
 Per-vehicle simulation cost is duration-proportional, so both lanes use
 the same per-vehicle scenario length — the smoke lane only shrinks the
 *population*, keeping vehicles/sec comparable across scales.
+
+The file also records the host (``cpu_count``), the OpenBLAS threads
+each process worker was pinned to, and the process lane's worker
+scaling curve (1, 2, 4, ... up to ``cpu_count`` workers; one worker runs
+in-process).  The curve's rates are wall-clock and informational.
 """
 
 import json
+import os
 import time
 
 from _bench_lane import OUTPUT_DIR, SMOKE
@@ -40,6 +46,16 @@ SHARD_SIZE = 4 if SMOKE else 50
 #: it; the smoke lane's sub-second run gets a wide noise allowance.
 PR8_BASELINE_VPS = 109.51 if SMOKE else 122.95
 MAX_OVERHEAD_PCT = 25.0 if SMOKE else 5.0
+
+
+def _scaling_points(cpus: int) -> list[int]:
+    """Worker counts for the scaling curve: powers of two, then ``cpus``."""
+    points = [1]
+    while points[-1] * 2 < cpus:
+        points.append(points[-1] * 2)
+    if cpus > 1:
+        points.append(cpus)
+    return points
 
 
 def test_bench_fleet():
@@ -94,6 +110,30 @@ def test_bench_fleet():
         f"budget is {MAX_OVERHEAD_PCT}%"
     )
 
+    # Process-lane scaling curve; the gated run above is its point at
+    # result.workers when "auto" resolved to the process lane.
+    cpus = os.cpu_count() or 1
+    scaling = []
+    for workers in _scaling_points(cpus):
+        point, point_s = result, wall_s
+        if result.backend != "process" or workers != result.workers:
+            start = time.perf_counter()
+            point = run_fleet(
+                context,
+                spec,
+                ExecOptions(backend="process", max_workers=workers),
+                shard_size=SHARD_SIZE,
+            )
+            point_s = time.perf_counter() - start
+            assert point.aggregate == result.aggregate  # same seeds, same fleet
+        scaling.append(
+            {
+                "workers": workers,
+                "blas_threads_per_worker": point.blas_threads_per_worker,
+                "wall_vehicles_per_sec": round(FLEET_SIZE / point_s, 2),
+            }
+        )
+
     simulated_s = FLEET_SIZE * DURATION
     payload = {
         "vehicles": FLEET_SIZE,
@@ -104,6 +144,10 @@ def test_bench_fleet():
         # fan-out on multi-core hosts): record what actually ran.
         "backend": result.backend,
         "engine": result.engine,
+        "cpu_count": cpus,
+        # OpenBLAS threads each process worker was pinned to (null when
+        # the run stayed in-process).
+        "blas_threads_per_worker": result.blas_threads_per_worker,
         "wall_seconds": round(wall_s, 3),
         "vehicles_per_sec": round(vehicles_per_sec, 2),
         # Happy-path cost of the fault-tolerance layer ("overhead" keys
@@ -116,6 +160,7 @@ def test_bench_fleet():
         "strict": result.options.strict,
         "checkpointed": result.checkpointed,
         "health": result.health.as_record(),
+        "worker_scaling": scaling,
         # Deterministic traffic rate of the seeded population: frames
         # offered per simulated vehicle-second — this anchors the gate.
         "offered_fps": round(total.frames_offered / simulated_s, 1),
@@ -150,5 +195,9 @@ def test_bench_fleet():
         f"({payload['vehicles_per_sec']:.1f} vehicles/s, "
         f"{result.shards} shards, {result.workers} {result.backend} workers), "
         f"detection {100.0 * total.detection_rate:.1f}%, "
-        f"drop {100.0 * total.drop_rate:.2f}%"
+        f"drop {100.0 * total.drop_rate:.2f}%; process-lane scaling "
+        + ", ".join(
+            f"{point['workers']}w {point['wall_vehicles_per_sec']:.1f}/s"
+            for point in scaling
+        )
     )

@@ -27,8 +27,10 @@
 #                               scripts/check_bench_regression.py
 #
 # The paper-table benchmarks (test_bench_table*.py etc.) train at full
-# scale and are not part of this quick loop; run them directly when
-# regenerating the tables.
+# scale and are not part of this quick loop; run them directly with
+# REPRO_BENCH_RECORD=1 when regenerating the committed tables.  Without
+# it, a benchmark run (tier-1 collects benchmarks/ too) archives under
+# the gitignored benchmarks/output/local/.
 set -euo pipefail
 
 # Resolve the repo root from this script's own location (not the CWD,
@@ -68,7 +70,9 @@ else
     python -m pytest -x -q tests
 
     echo "== micro-benchmarks =="
-    python -m pytest -q -s "${MICRO_BENCHES[@]}" benchmarks/test_bench_micro.py
+    # The one lane that records the committed trajectory; any other run
+    # archives under benchmarks/output/local/ (see benchmarks/_bench_lane.py).
+    REPRO_BENCH_RECORD=1 python -m pytest -q -s "${MICRO_BENCHES[@]}" benchmarks/test_bench_micro.py
 
     echo "perf trajectory written to benchmarks/output/BENCH_{encoders,bus,faults,datapath,inference,gateway,campaigns,fleet}.json"
 fi

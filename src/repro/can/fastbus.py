@@ -40,8 +40,9 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from repro.can.frame import _CRC15_POLY, _TRAILER_BITS
+from repro.can.frame import _TRAILER_BITS, crc15_table
 from repro.errors import CANError
+from repro.utils.bitops import STUFF_STATES, stuffing_tables
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (log -> bus -> node)
     from repro.can.bus import BusRecord
@@ -336,57 +337,99 @@ def build_schedule(sources: "Sequence[TrafficSource]", until: float) -> Schedule
 # ---------------------------------------------------------------------------
 
 
+#: CRC-15 body bytes of the widest frame: the 19 + 8*8 body bits with
+#: five zero bits prepended (3 header bytes + 8 payload bytes).
+_BODY_BYTES = 3 + _PAYLOAD_SLOTS
+
+#: Byte-at-a-time wire tables, built once per process: the CRC-15 byte
+#: table, and the stuffing automaton over whole bytes and over the
+#: 2-bit tail that closes every SOF..CRC stream (34 + 8*DLC bits).
+_CRC15_TABLE = crc15_table()
+_STUFF_NEXT, _STUFF_COUNT = stuffing_tables(8)
+_TAIL_STUFF_COUNT = stuffing_tables(2)[1]
+
+#: A no-op stuffing symbol for the leading pad columns of right-aligned
+#: short frames: it keeps the automaton's state and inserts nothing.
+#: The byte tables gain it as a 257th column and are flattened, with
+#: states stored pre-multiplied by the row stride, so one step is one
+#: add and two gathers.
+_PAD_SYMBOL = 256
+_STUFF_STRIDE = 257
+_STUFF_NEXT_CELL = (
+    np.hstack(
+        [_STUFF_NEXT, np.arange(STUFF_STATES, dtype=np.int64)[:, None]]
+    )
+    * _STUFF_STRIDE
+).ravel()
+_STUFF_COUNT_CELL = np.hstack(
+    [_STUFF_COUNT, np.zeros((STUFF_STATES, 1), dtype=np.int64)]
+).ravel()
+
+
+def _crc_step(crc: np.ndarray, byte: np.ndarray) -> np.ndarray:
+    """Fold one byte column into the CRC-15 registers."""
+    return ((crc & 0x7F) << 8) ^ _CRC15_TABLE[(crc >> 7) ^ byte]
+
+
+def _stuff_step(
+    cell: np.ndarray, stuffed: np.ndarray, symbol: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feed one symbol column through the stuffing automaton."""
+    index = cell + symbol
+    return _STUFF_NEXT_CELL[index], stuffed + _STUFF_COUNT_CELL[index]
+
+
 def _wire_bits_for_rows(rows: np.ndarray) -> np.ndarray:
-    """Exact wire bits for unique packed rows ``[id_hi, id_lo, dlc, 8 bytes]``."""
-    out = np.zeros(rows.shape[0], dtype=np.int64)
+    """Exact wire bits for unique packed rows ``[id_hi, id_lo, dlc, 8 bytes]``.
+
+    Byte at a time, as a CAN controller keeps its CRC and stuffing
+    bookkeeping, over byte columns shared by every DLC:
+
+    * CRC-15 runs over the 19 + 8*DLC body bits with five zero bits
+      prepended: exactly 3 + DLC bytes.  Each row is right-aligned into
+      :data:`_BODY_BYTES` columns by 8 - DLC more zero bytes; leading
+      zeros leave a zero-initialised CRC unchanged.
+    * Stuffing runs over SOF..CRC, the same bits re-cut at bit 5 with
+      the CRC appended: DLC + 4 whole bytes and a 2-bit tail, through
+      the 9-state automaton of :func:`~repro.utils.bitops.stuffing_tables`.
+      A row's pad columns feed the no-op symbol.
+
+    Bit-exact against :func:`~repro.can.frame.crc15` and
+    :func:`~repro.utils.bitops.stuff_bits` (``tests/test_fastbus.py``
+    checks every table cell and random frames of every DLC).
+    """
+    m = rows.shape[0]
+    ids = (rows[:, 0].astype(np.int64) << 8) | rows[:, 1]
     dlcs = rows[:, 2].astype(np.int64)
-    # reprolint: disable=hot-path-purity -- loops over the <=9 distinct DLC widths, not frames
-    for dlc in np.unique(dlcs):
-        group = np.flatnonzero(dlcs == dlc)
-        sub = rows[group]
-        m = sub.shape[0]
-        width = int(dlc)
-        body_len = _HEADER_BITS + 8 * width
-        bits = np.zeros((m, body_len + _CRC_BITS), dtype=np.uint8)
-        ids = (sub[:, 0].astype(np.int64) << 8) | sub[:, 1].astype(np.int64)
-        bits[:, 1:12] = (
-            (ids[:, None] >> np.arange(10, -1, -1, dtype=np.int64)) & 1
-        ).astype(np.uint8)
-        # RTR/IDE/r0 are dominant zeros for standard data frames.
-        bits[:, 15:19] = (
-            (width >> np.arange(3, -1, -1, dtype=np.int64)) & 1
-        ).astype(np.uint8)
-        if width:
-            bits[:, _HEADER_BITS:body_len] = np.unpackbits(
-                sub[:, 3 : 3 + width], axis=1
-            )
-        # CRC-15 over the body, one numpy pass per bit position —
-        # identical recurrence to :func:`repro.can.frame.crc15`.
-        crc = np.zeros(m, dtype=np.int64)
-        # reprolint: disable=hot-path-purity -- per-bit-column CRC recurrence, O(wire bits) not O(frames)
-        for column in range(body_len):
-            feedback = ((crc >> 14) & 1) ^ bits[:, column]
-            crc = ((crc << 1) & 0x7FFF) ^ (feedback * _CRC15_POLY)
-        bits[:, body_len:] = (
-            (crc[:, None] >> np.arange(14, -1, -1, dtype=np.int64)) & 1
-        ).astype(np.uint8)
-        # Bit stuffing over SOF..CRC: run-state per row, one pass per
-        # column — identical semantics to :func:`stuff_bits` (a stuff
-        # bit resets the run and counts toward the next one).
-        run_value = np.full(m, -1, dtype=np.int16)
-        run_length = np.zeros(m, dtype=np.int64)
-        stuffed = np.zeros(m, dtype=np.int64)
-        # reprolint: disable=hot-path-purity -- per-bit-column stuffing scan, O(wire bits) not O(frames)
-        for column in range(body_len + _CRC_BITS):
-            bit = bits[:, column].astype(np.int16)
-            run_length = np.where(bit == run_value, run_length + 1, 1)
-            run_value = bit
-            hit = run_length == 5
-            stuffed += hit
-            run_value = np.where(hit, 1 - bit, run_value)
-            run_length = np.where(hit, 1, run_length)
-        out[group] = body_len + _CRC_BITS + stuffed + _TRAILER_BITS
-    return out
+    pad = _PAYLOAD_SLOTS - dlcs
+    left = np.empty((m, _BODY_BYTES), dtype=np.int64)
+    left[:, 0] = ids >> 9  # five pad bits, SOF, ID[10:9]
+    left[:, 1] = (ids >> 1) & 0xFF  # ID[8:1]
+    left[:, 2] = ((ids & 1) << 7) | dlcs  # ID[0], dominant RTR/IDE/r0, DLC
+    left[:, 3:] = rows[:, 3:]
+    # Bytes past the DLC are zero, so rotating each row right by its
+    # pad prepends zero bytes.
+    columns = np.arange(_BODY_BYTES, dtype=np.int64)
+    body = np.take_along_axis(left, (columns - pad[:, None]) % _BODY_BYTES, axis=1)
+    # Stream byte k is body bits [5 + 8k, 13 + 8k); all but the last
+    # two lie inside the body.
+    symbols = ((body[:, :-1] << 5) | (body[:, 1:] >> 3)) & 0xFF
+    symbols[columns[:-1] < pad[:, None]] = _PAD_SYMBOL
+    crc = np.zeros(m, dtype=np.int64)
+    cell = np.zeros(m, dtype=np.int64)  # the start state
+    stuffed = np.zeros(m, dtype=np.int64)
+    # reprolint: disable=hot-path-purity -- one pass per byte column (10), O(frame bytes) not O(frames)
+    for column in range(_BODY_BYTES - 1):
+        crc = _crc_step(crc, body[:, column])
+        cell, stuffed = _stuff_step(cell, stuffed, symbols[:, column])
+    crc = _crc_step(crc, body[:, -1])
+    # The CRC closes the stream: two more whole bytes, then the tail.
+    crc_hi = crc >> 7
+    crc_lo = (crc << 1) & 0xFF  # the CRC's low seven bits and a pad bit
+    cell, stuffed = _stuff_step(cell, stuffed, ((body[:, -1] << 5) | (crc_hi >> 3)) & 0xFF)
+    cell, stuffed = _stuff_step(cell, stuffed, ((crc_hi << 5) | (crc_lo >> 3)) & 0xFF)
+    stuffed += _TAIL_STUFF_COUNT[cell // _STUFF_STRIDE, (crc_lo >> 1) & 0x3]
+    return _HEADER_BITS + 8 * dlcs + _CRC_BITS + stuffed + _TRAILER_BITS
 
 
 def standard_wire_bits(
@@ -407,6 +450,9 @@ def standard_wire_bits(
         return np.zeros(0, dtype=np.int64)
     if np.any((can_ids < 0) | (can_ids > 0x7FF)):
         raise CANError("standard_wire_bits models 11-bit identifiers only")
+    bad_dlcs = dlcs[(dlcs < 0) | (dlcs > _PAYLOAD_SLOTS)]
+    if bad_dlcs.size:
+        raise CANError(f"DLC must be 0-{_PAYLOAD_SLOTS}, got {int(bad_dlcs[0])}")
     width = 3 + _PAYLOAD_SLOTS
     rows = np.zeros((n, width), dtype=np.uint8)
     rows[:, 0] = can_ids >> 8

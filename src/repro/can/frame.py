@@ -22,7 +22,7 @@ import numpy as np
 from repro.errors import CANError
 from repro.utils.bitops import bytes_to_bits, int_to_bits, stuff_bits
 
-__all__ = ["CANFrame", "crc15", "MAX_STANDARD_ID", "MAX_EXTENDED_ID"]
+__all__ = ["CANFrame", "crc15", "crc15_table", "MAX_STANDARD_ID", "MAX_EXTENDED_ID"]
 
 MAX_STANDARD_ID = 0x7FF
 MAX_EXTENDED_ID = 0x1FFFFFFF
@@ -47,6 +47,22 @@ def crc15(bits: np.ndarray) -> int:
         if crc_next:
             crc ^= _CRC15_POLY
     return crc
+
+
+def crc15_table() -> np.ndarray:
+    """The 256-entry table for a byte-at-a-time CRC-15.
+
+    Entry ``b`` is the register after shifting ``b`` (preloaded into
+    its top eight bits) eight times through the polynomial, which by
+    linearity is ``crc15`` of the eight bits of ``b``.  With it, one
+    byte of input updates the register as
+    ``crc = ((crc << 8) & 0x7FFF) ^ table[(crc >> 7) ^ byte]``.
+    """
+    table = np.arange(256, dtype=np.int64) << 7
+    for _ in range(8):
+        shifted = (table << 1) & 0x7FFF
+        table = np.where(table & 0x4000, shifted ^ _CRC15_POLY, shifted)
+    return table
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,8 @@ class CampaignSweepResult:
     engine: str = "columnar"  #: bus-simulation engine the sweep used
     options: ExecOptions | None = None  #: resolved run-spec (resilience knobs included)
     health: RunHealth = field(default_factory=RunHealth)
+    #: OpenBLAS threads each process worker was pinned to (None in-process)
+    blas_threads_per_worker: int | None = None
     _index: dict[tuple[str, str], ScenarioRun] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -444,6 +446,7 @@ def run_campaign_sweep(
         engine=resolved.engine,
         options=resolved,
         health=outcome.health,
+        blas_threads_per_worker=outcome.blas_threads,
     )
 
 

@@ -139,11 +139,14 @@ class ShardedRun:
 
     ``results`` is index-aligned with the submitted task list; a shard
     that exhausted its retries (non-strict mode only) holds ``None`` at
-    its slot and appears in ``health.failures``.
+    its slot and appears in ``health.failures``.  ``blas_threads`` is
+    the OpenBLAS thread count process workers were pinned to: ``None``
+    when the run stayed in-process or no set-threads symbol was found.
     """
 
     results: tuple[Any, ...] = ()
     health: RunHealth = field(default_factory=RunHealth)
+    blas_threads: int | None = None
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self.results)

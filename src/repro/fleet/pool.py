@@ -27,6 +27,12 @@ lost run:
   the pool initializer, exactly as before.
 * :func:`warm_engines` is the standard warmup hook: compile every
   shipped detector IP once per process, before the first task runs.
+* Process workers pin numpy's bundled OpenBLAS to one thread
+  (:func:`pin_blas_threads`) before anything else: the compiled
+  engine's small matmul chunks gain nothing from BLAS threads, and one
+  BLAS pool per worker on a host with a core per worker oversubscribes
+  it.  Only the process-pool initializer pins; serial and thread runs
+  never touch the caller's process-global BLAS state.
 
 Worker callables and warmup hooks MUST be module-top-level functions
 (the ``pickle-safety`` lint rule's contract): the process backend
@@ -38,6 +44,7 @@ wrapper so every failure path above is exercised end to end.
 
 from __future__ import annotations
 
+import ctypes
 import time
 from concurrent.futures import FIRST_COMPLETED, Executor, Future, wait
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -45,7 +52,10 @@ from concurrent.futures.process import BrokenProcessPool
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from itertools import count
+from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Sequence
+
+import numpy as np
 
 from repro.fleet.health import RunHealth, ShardedRun, ShardError, ShardFailure
 from repro.utils.rng import new_rng
@@ -53,7 +63,13 @@ from repro.utils.rng import new_rng
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fleet.chaos import ChaosPlan
 
-__all__ = ["run_sharded", "warm_engines", "worker_state"]
+__all__ = [
+    "blas_threads",
+    "pin_blas_threads",
+    "run_sharded",
+    "warm_engines",
+    "worker_state",
+]
 
 #: Exponential-backoff schedule for retries: attempt ``n`` waits a
 #: seed-derived uniform draw from ``[window/2, window]`` where
@@ -75,6 +91,69 @@ _ACTIVE_STATE: ContextVar[dict[str, Any] | None] = ContextVar(
 )
 
 _RUN_TOKENS = count()
+
+#: OpenBLAS thread-control symbols, tried in order: the ILP64 build
+#: numpy's wheels bundle (``scipy_openblas64_``), then plain OpenBLAS.
+_BLAS_SET_SYMBOLS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
+_BLAS_GET_SYMBOLS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads")
+
+#: What :func:`pin_blas_threads` returned in this process-pool worker;
+#: ``None`` in every process the initializer never ran in.
+_WORKER_BLAS_THREADS: int | None = None
+
+
+def _openblas_library() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS (``numpy.libs/*openblas*``), or None.
+
+    numpy has already loaded it, so this returns a handle on the same
+    library instance numpy calls into.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            return ctypes.CDLL(str(path))
+        except OSError:
+            continue
+    return None
+
+
+def _blas_symbol(names: Sequence[str]) -> Any | None:
+    """The first of ``names`` the bundled OpenBLAS exports, or None."""
+    library = _openblas_library()
+    if library is None:
+        return None
+    for name in names:
+        symbol = getattr(library, name, None)
+        if symbol is not None:
+            return symbol
+    return None
+
+
+def blas_threads() -> int | None:
+    """This process's OpenBLAS thread count, or None when unreadable."""
+    getter = _blas_symbol(_BLAS_GET_SYMBOLS)
+    if getter is None:
+        return None
+    getter.argtypes = []
+    getter.restype = ctypes.c_int
+    return int(getter())
+
+
+def pin_blas_threads() -> int | None:
+    """Pin this process's OpenBLAS to one thread through ``ctypes``.
+
+    Returns the count in effect afterwards, or None (a no-op) when
+    numpy bundles no OpenBLAS with a set-threads symbol.  The setting
+    is process-global: only process-pool workers call this.
+    """
+    setter = _blas_symbol(_BLAS_SET_SYMBOLS)
+    if setter is None:
+        return None
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = None
+    setter(1)
+    current = blas_threads()
+    return 1 if current is None else current
 
 
 def worker_state() -> dict[str, Any]:
@@ -116,6 +195,13 @@ def _install_worker_state(token: str, state: dict[str, Any]) -> None:
         warmup(state)
 
 
+def _install_process_worker(token: str, state: dict[str, Any]) -> None:
+    """Process-pool initializer: pin BLAS to one thread, then install state."""
+    global _WORKER_BLAS_THREADS
+    _WORKER_BLAS_THREADS = pin_blas_threads()
+    _install_worker_state(token, state)
+
+
 @dataclass(frozen=True)
 class _Submission:
     """One shard attempt in flight: O(1) to pickle, task included."""
@@ -126,8 +212,12 @@ class _Submission:
     task: Any
 
 
-def _run_task(submission: _Submission) -> Any:
-    """Worker-side wrapper: bind run state, inject chaos, run the shard."""
+def _run_task(submission: _Submission) -> tuple[Any, int | None]:
+    """Worker-side wrapper: bind run state, inject chaos, run the shard.
+
+    Returns the shard's result with the worker's pinned BLAS thread
+    count, so the caller learns what its process workers ran with.
+    """
     state = _STATES[submission.token]
     bound = _ACTIVE_STATE.set(state)
     try:
@@ -139,7 +229,7 @@ def _run_task(submission: _Submission) -> Any:
                 in_process=bool(state.get("__in_process__", True)),
             )
         worker: Callable[[Any], Any] = state["__worker__"]
-        return worker(submission.task)
+        return worker(submission.task), _WORKER_BLAS_THREADS
     finally:
         _ACTIVE_STATE.reset(bound)
 
@@ -179,8 +269,10 @@ class _Bookkeeper:
         self.retries = 0
         self.timeouts = 0
         self.pool_rebuilds = 0
+        self.blas_threads: int | None = None
 
-    def succeed(self, index: int, value: Any) -> None:
+    def succeed(self, index: int, outcome: tuple[Any, int | None]) -> None:
+        value, self.blas_threads = outcome
         self.results[index] = value
         if self.on_result is not None:
             self.on_result(index, value)
@@ -228,6 +320,7 @@ class _Bookkeeper:
         return ShardedRun(
             results=tuple(self.results.get(index) for index in range(self.shards)),
             health=health,
+            blas_threads=self.blas_threads,
         )
 
 
@@ -237,7 +330,7 @@ def _run_serial(token: str, ordered: list[Any], book: _Bookkeeper) -> ShardedRun
         submission = _Submission(token=token, index=index, attempt=0, task=task)
         while True:
             try:
-                value = _run_task(submission)
+                outcome = _run_task(submission)
             except Exception as exc:
                 scheduled = book.next_attempt(submission, _summarise(exc), exc)
                 if scheduled is None:
@@ -245,7 +338,7 @@ def _run_serial(token: str, ordered: list[Any], book: _Bookkeeper) -> ShardedRun
                 delay, submission = scheduled
                 time.sleep(delay)
             else:
-                book.succeed(index, value)
+                book.succeed(index, outcome)
                 break
     return book.finish()
 
@@ -418,7 +511,9 @@ def run_sharded(
     the process backend a dead worker (``BrokenProcessPool``) rebuilds
     the pool and resubmits every outstanding shard.  ``on_result`` is
     invoked in the caller's process as ``(shard_index, result)`` the
-    moment each shard completes — the checkpoint hook.
+    moment each shard completes — the checkpoint hook.  Process workers
+    pin OpenBLAS to one thread first; the result's ``blas_threads``
+    records what the pin returned (None in-process).
 
     Results are index-aligned with ``tasks`` whatever order shards
     finish in.  ``backend`` must already be resolved
@@ -451,7 +546,7 @@ def run_sharded(
         def make_process_pool() -> Executor:
             return ProcessPoolExecutor(
                 max_workers=max_workers,
-                initializer=_install_worker_state,
+                initializer=_install_process_worker,
                 initargs=(token, shipped),
             )
 

@@ -80,6 +80,9 @@ class FleetResult:
     health: RunHealth = field(default_factory=RunHealth)
     resumed_shards: int = 0
     checkpointed: bool = False
+    #: OpenBLAS threads each process worker was pinned to; None when the
+    #: run stayed in-process or no set-threads symbol was found.
+    blas_threads_per_worker: int | None = None
 
     @property
     def vehicles(self) -> int:
@@ -121,6 +124,7 @@ class FleetResult:
             "drop_rate": total.drop_rate,
         }
         record.update(self.options.as_record())
+        record["blas_threads_per_worker"] = self.blas_threads_per_worker
         record["checkpointed"] = self.checkpointed
         record["resumed_shards"] = self.resumed_shards
         record["health"] = self.health.as_record()
@@ -382,4 +386,5 @@ def run_fleet(
         health=health,
         resumed_shards=resumed,
         checkpointed=store is not None,
+        blas_threads_per_worker=outcome.blas_threads,
     )

@@ -25,6 +25,9 @@ __all__ = [
     "count_stuff_bits",
     "stuff_bits",
     "destuff_bits",
+    "STUFF_STATES",
+    "stuff_state",
+    "stuffing_tables",
 ]
 
 
@@ -143,3 +146,46 @@ def destuff_bits(bits: Sequence[int] | np.ndarray) -> np.ndarray:
 def count_stuff_bits(bits: Sequence[int] | np.ndarray) -> int:
     """Number of stuff bits CAN would insert into ``bits``."""
     return int(stuff_bits(bits).size - np.asarray(bits).size)
+
+
+#: States of the stuffing automaton :func:`stuffing_tables` tabulates:
+#: state 0 is the start of the stuffed region (no run yet) and
+#: :func:`stuff_state` numbers a run of 1-4 equal bits.  A run never rests
+#: at five bits: the fifth inserts a stuff bit, which starts a new run.
+STUFF_STATES = 9
+
+
+def stuff_state(run_value: int, run_length: int) -> int:
+    """Automaton state of a run of ``run_length`` (1-4) bits of ``run_value``."""
+    if run_value not in (0, 1) or not 1 <= run_length <= 4:
+        raise ConfigError(f"no stuffing state for a run of {run_length} x {run_value}")
+    return 1 + 4 * run_value + run_length - 1
+
+
+def stuffing_tables(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stuffing automaton over ``width``-bit symbols, as two tables.
+
+    Returns ``(next_state, stuff_count)``, both ``(STUFF_STATES,
+    2**width)`` int64: feeding symbol ``s`` (its bits MSB first) in state
+    ``q`` inserts ``stuff_count[q, s]`` stuff bits and leaves the
+    automaton in ``next_state[q, s]``.  The run semantics are those of
+    :func:`stuff_bits`, so folding a bit stream through the tables one
+    symbol at a time counts exactly the stuff bits it inserts.
+    """
+    symbols = 1 << width
+    next_state = np.zeros((STUFF_STATES, symbols), dtype=np.int64)
+    stuff_count = np.zeros((STUFF_STATES, symbols), dtype=np.int64)
+    runs = [(-1, 0)] + [(value, length) for value in (0, 1) for length in range(1, 5)]
+    for state, (start_value, start_length) in enumerate(runs):
+        for symbol in range(symbols):
+            run_value, run_length, stuffed = start_value, start_length, 0
+            for shift in range(width - 1, -1, -1):
+                bit = (symbol >> shift) & 1
+                run_length = run_length + 1 if bit == run_value else 1
+                run_value = bit
+                if run_length == 5:
+                    stuffed += 1
+                    run_value, run_length = 1 - bit, 1
+            next_state[state, symbol] = stuff_state(run_value, run_length)
+            stuff_count[state, symbol] = stuffed
+    return next_state, stuff_count

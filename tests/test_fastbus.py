@@ -14,6 +14,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.can.attacks import (
     BurstDoSAttacker,
@@ -35,7 +36,7 @@ from repro.can.fastbus import (
     simulate_arbitration,
     standard_wire_bits,
 )
-from repro.can.frame import CANFrame
+from repro.can.frame import CANFrame, crc15, crc15_table
 from repro.can.log import CaptureArray, records_from_bus
 from repro.can.node import PeriodicSender, ScheduledFrame, sensor_payload
 from repro.datasets.carhacking import build_vehicle_bus
@@ -49,6 +50,13 @@ from repro.experiments.campaigns import (
 )
 from repro.fleet import ExecOptions
 from repro.soc.gateway import build_campaign_gateway
+from repro.utils.bitops import (
+    STUFF_STATES,
+    int_to_bits,
+    stuff_bits,
+    stuff_state,
+    stuffing_tables,
+)
 
 
 class _OneShot:
@@ -90,7 +98,88 @@ def _assert_records_match(records, result):
         assert record.frame.bit_length() == result.wire_bits[index]
 
 
+#: Payload bytes that make long equal-bit runs, so frames stuff heavily.
+_RUN_BYTES = st.sampled_from([0x00, 0xFF, 0x0F, 0xF0])
+
+
+@st.composite
+def _standard_frames(draw):
+    """``(can_id, data)`` over every 11-bit ID and DLC 0-8, run-heavy."""
+    can_id = draw(st.integers(min_value=0, max_value=0x7FF))
+    dlc = draw(st.integers(min_value=0, max_value=8))
+    data = draw(
+        st.lists(
+            st.one_of(_RUN_BYTES, _RUN_BYTES, st.integers(0, 255)),
+            min_size=dlc,
+            max_size=dlc,
+        )
+    )
+    return can_id, bytes(data)
+
+
+def _wire_bits_of(frames):
+    """``standard_wire_bits`` over ``(can_id, data)`` pairs."""
+    ids = np.array([can_id for can_id, _ in frames], dtype=np.int64)
+    dlcs = np.array([len(data) for _, data in frames], dtype=np.int64)
+    payloads = np.zeros((len(frames), 8), dtype=np.uint8)
+    for row, (_, data) in enumerate(frames):
+        payloads[row, : len(data)] = list(data)
+    return standard_wire_bits(ids, dlcs, payloads)
+
+
+def _state_runs():
+    """Every stuffing-automaton state with a bit prefix that reaches it."""
+    runs = {0: []}
+    for value in (0, 1):
+        for length in range(1, 5):
+            runs[stuff_state(value, length)] = [value] * length
+    assert sorted(runs) == list(range(STUFF_STATES))
+    return runs
+
+
+def _reference_stuffing(prefix, bits):
+    """Bit-by-bit: stuff bits ``bits`` adds after ``prefix``, and the run after."""
+    out = stuff_bits(prefix + bits).tolist()
+    stuffed = len(out) - len(prefix) - len(bits)
+    run = 1
+    while run < len(out) and out[-1 - run] == out[-1]:
+        run += 1
+    return stuffed, stuff_state(out[-1], run)
+
+
+class TestWireTables:
+    def test_every_crc_table_entry_matches_crc15(self):
+        table = crc15_table()
+        assert table.shape == (256,) and table.dtype == np.int64
+        for byte in range(256):
+            assert table[byte] == crc15(int_to_bits(byte, 8)), byte
+
+    @pytest.mark.parametrize("width", [8, 2])
+    def test_every_stuffing_cell_matches_bit_by_bit_stuffing(self, width):
+        next_state, stuff_count = stuffing_tables(width)
+        assert next_state.shape == stuff_count.shape == (STUFF_STATES, 1 << width)
+        assert next_state.dtype == stuff_count.dtype == np.int64
+        for state, prefix in _state_runs().items():
+            for symbol in range(1 << width):
+                bits = int_to_bits(symbol, width).tolist()
+                stuffed, after = _reference_stuffing(prefix, bits)
+                assert stuff_count[state, symbol] == stuffed, (state, symbol)
+                assert next_state[state, symbol] == after, (state, symbol)
+
+
 class TestWireBits:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_standard_frames(), min_size=1, max_size=24))
+    def test_matches_frame_bit_length_property(self, frames):
+        expected = [CANFrame(can_id, data).bit_length() for can_id, data in frames]
+        assert _wire_bits_of(frames).tolist() == expected
+
+    @pytest.mark.parametrize("data", [b"", bytes(8), b"\xff" * 8])
+    def test_matches_frame_bit_length_for_every_identifier(self, data):
+        frames = [(can_id, data) for can_id in range(0x800)]
+        expected = [CANFrame(can_id, data).bit_length() for can_id, data in frames]
+        assert _wire_bits_of(frames).tolist() == expected
+
     def test_matches_frame_bit_length_across_random_frames(self):
         rng = np.random.default_rng(7)
         ids = rng.integers(0, 0x800, size=200)
@@ -114,6 +203,14 @@ class TestWireBits:
         with pytest.raises(CANError, match="11-bit"):
             standard_wire_bits(
                 np.array([0x800]), np.array([0]), np.zeros((1, 8), dtype=np.uint8)
+            )
+
+    def test_oversized_dlc_rejected(self):
+        with pytest.raises(CANError, match="DLC must be 0-8, got 9"):
+            standard_wire_bits(
+                np.array([0x100, 0x100]),
+                np.array([8, 9]),
+                np.zeros((2, 8), dtype=np.uint8),
             )
 
 

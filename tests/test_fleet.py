@@ -13,7 +13,10 @@ The load-bearing claims, each pinned here:
   ``"auto"``, and back-compats the sweep's loose keywords via a
   warn-once shim;
 * empty specs (fleet and sweep) return well-formed empty results
-  without training detectors or spinning up a pool.
+  without training detectors or spinning up a pool;
+* process-pool workers run OpenBLAS on one thread, the serial and
+  thread lanes leave the caller's BLAS setting alone, and a missing
+  OpenBLAS turns the pin into a no-op.
 """
 
 import pickle
@@ -23,6 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.experiments.campaigns as campaigns_module
+import repro.fleet.pool as pool_module
 from repro.errors import ConfigError
 from repro.experiments.campaigns import run_campaign_sweep
 from repro.fleet import (
@@ -38,7 +42,16 @@ from repro.fleet import (
     latency_histogram,
     run_fleet,
 )
+from repro.fleet.pool import blas_threads, pin_blas_threads, run_sharded
 from repro.fleet.runner import _FleetShard
+
+#: The OpenBLAS thread count of this (the calling) process.
+CALLER_BLAS_THREADS = blas_threads()
+
+
+def _probe_blas_threads(task):
+    """Shard worker reporting the BLAS threads of the process it runs in."""
+    return blas_threads()
 
 
 def _slices(draw_ints):
@@ -183,29 +196,31 @@ class TestSpecs:
         }
 
 
+@pytest.fixture(scope="module")
+def fleet_spec():
+    return FleetSpec(
+        name="mini",
+        size=6,
+        seed=7,
+        scenarios=("baseline-dos", "baseline-fuzzy"),
+        profiles=("full", "mid", "lite"),
+        deployments=("per-ip", "shared-ip"),
+        duration=0.4,
+        onset_jitter=0.05,
+    )
+
+
+@pytest.fixture(scope="module")
+def reference(experiment_context, fleet_spec):
+    return run_fleet(
+        experiment_context,
+        fleet_spec,
+        ExecOptions(backend="thread", max_workers=1),
+        shard_size=2,
+    )
+
+
 class TestRunFleet:
-    @pytest.fixture(scope="class")
-    def fleet_spec(self):
-        return FleetSpec(
-            name="mini",
-            size=6,
-            seed=7,
-            scenarios=("baseline-dos", "baseline-fuzzy"),
-            profiles=("full", "mid", "lite"),
-            deployments=("per-ip", "shared-ip"),
-            duration=0.4,
-            onset_jitter=0.05,
-        )
-
-    @pytest.fixture(scope="class")
-    def reference(self, experiment_context, fleet_spec):
-        return run_fleet(
-            experiment_context,
-            fleet_spec,
-            ExecOptions(backend="thread", max_workers=1),
-            shard_size=2,
-        )
-
     def test_aggregate_counts_the_whole_fleet(self, reference, fleet_spec):
         total = reference.aggregate.total
         assert reference.vehicles == len(fleet_spec) == total.vehicles
@@ -261,6 +276,56 @@ class TestRunFleet:
     def test_bad_shard_size_rejected(self, experiment_context, fleet_spec):
         with pytest.raises(ConfigError, match="shard_size"):
             run_fleet(experiment_context, fleet_spec, shard_size=0)
+
+
+@pytest.mark.skipif(
+    CALLER_BLAS_THREADS is None, reason="numpy bundles no OpenBLAS thread control"
+)
+class TestBlasPinnedWorkers:
+    """Process workers pin OpenBLAS to one thread; nothing else does."""
+
+    def test_process_workers_run_one_blas_thread(self):
+        outcome = run_sharded(
+            list(range(4)), _probe_blas_threads, {}, "process", max_workers=2
+        )
+        assert outcome.results == (1, 1, 1, 1)
+        assert outcome.blas_threads == 1
+
+    @pytest.mark.parametrize(
+        "backend,workers", [("thread", 1), ("thread", 2), ("process", 2)]
+    )
+    def test_caller_blas_threads_unchanged_and_aggregates_identical(
+        self, experiment_context, fleet_spec, reference, backend, workers
+    ):
+        run = run_fleet(
+            experiment_context,
+            fleet_spec,
+            ExecOptions(backend=backend, max_workers=workers),
+            shard_size=2,
+        )
+        assert blas_threads() == CALLER_BLAS_THREADS
+        pinned = 1 if backend == "process" else None
+        assert run.blas_threads_per_worker == pinned
+        assert run.as_record()["blas_threads_per_worker"] == pinned
+        # Pinned process workers and the thread x 1 reference agree bit for bit.
+        assert run.aggregate == reference.aggregate
+
+    def test_missing_openblas_makes_the_pin_a_noop(
+        self, monkeypatch, experiment_context, fleet_spec, reference
+    ):
+        # Forked workers inherit the patched lookup.
+        monkeypatch.setattr(pool_module, "_openblas_library", lambda: None)
+        assert pin_blas_threads() is None
+        assert blas_threads() is None
+        run = run_fleet(
+            experiment_context,
+            fleet_spec,
+            ExecOptions(backend="process", max_workers=2),
+            shard_size=2,
+        )
+        assert run.health.ok
+        assert run.blas_threads_per_worker is None
+        assert run.aggregate == reference.aggregate
 
 
 class TestSweepUnifiedOptions:
