@@ -19,6 +19,7 @@ the file runs in about a minute; ``REPRO_BENCH_SMOKE=1`` shrinks the
 inputs and writes under ``benchmarks/output/smoke/``.
 """
 
+import gc
 import json
 import time
 
@@ -92,6 +93,12 @@ def _best_of(fn, repeats):
 
 
 def test_bench_compiled_engine_speedup(bench_ip):
+    # The engine cache is process-wide: record only what this bench's
+    # own engine_for calls did to it, so the figure does not depend on
+    # which benchmarks ran earlier in the session.  Collecting first
+    # evicts entries whose IPs died with earlier modules.
+    gc.collect()
+    cache_before = engine_cache_info()
     rng = new_rng(42, "bench-compiled-engine")
     features = rng.random((NUM_FRAMES, bench_ip.export.input_features))
     accel = MemoryMappedAccelerator(bench_ip)
@@ -121,7 +128,11 @@ def test_bench_compiled_engine_speedup(bench_ip):
         # Deterministic pipeline rates: these gate the regression check.
         "core_throughput_fps": round(bench_ip.throughput_fps, 1),
         "ecu_sustained_fps": round(ecu.sustained_fps(), 1),
-        "engine_cache": {"hits": cache.hits, "misses": cache.misses, "size": cache.size},
+        "engine_cache": {
+            "hits": cache.hits - cache_before.hits,
+            "misses": cache.misses - cache_before.misses,
+            "size": cache.size - cache_before.size,
+        },
     }
     OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
     (OUTPUT_DIR / "BENCH_inference.json").write_text(

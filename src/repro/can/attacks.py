@@ -332,31 +332,21 @@ class ReplayAttacker(_WindowedSource):
     window/clipping semantics are those of every other windowed injector
     (multiple windows, horizon clipping), so campaigns can schedule a
     replay phase exactly like a flood phase.
-
-    ``windows`` accepts either one ``(start, end)`` pair or a sequence
-    of them; the legacy keyword ``window`` remains an alias for a single
-    pair.
     """
 
     def __init__(
         self,
         capture: Sequence[CANFrame],
         offsets: Sequence[float],
-        windows: Sequence[Window] | Window | None = None,
+        windows: Sequence[Window] | None = None,
         name: str = "replay-attacker",
         seed: int = 0,
-        *,
-        window: Window | None = None,
     ):
         if len(capture) != len(offsets):
             raise CANError("capture and offsets must have matching lengths")
-        if windows is None:
-            windows = window
-        if windows is None:
+        if not windows:
             raise CANError("replay attacker needs at least one active window")
-        if len(windows) == 2 and not isinstance(windows[0], (tuple, list)):
-            windows = [tuple(windows)]  # a bare (start, end) pair
-        super().__init__(list(windows), name, seed)
+        super().__init__(windows, name, seed)
         self.capture = list(capture)
         self.offsets = list(offsets)
         # Columnar view of the replayed capture, built once: replays of
@@ -379,11 +369,6 @@ class ReplayAttacker(_WindowedSource):
             ],
             dtype=np.int64,
         )
-
-    @property
-    def window(self) -> Window:
-        """The first active window (legacy single-window accessor)."""
-        return self.windows[0]
 
     def _window_schedule(self, start: float, end: float, until: float) -> "ScheduleArray":
         from repro.can.fastbus import ScheduleArray

@@ -15,6 +15,11 @@ up behind them with growing queueing latency.
 Records carry both the release time and the reception-complete
 timestamp, so downstream code can study attack-induced delay as well as
 message content.
+
+One event loop replays every window.  The wire-fault layer
+(:mod:`repro.can.faults`) only feeds it a precomputed plan: error
+frames, retransmission and bus-off silences are stated once, and a
+window the plan leaves alone runs the same loop with no plan.
 """
 
 from __future__ import annotations
@@ -114,6 +119,8 @@ class BusSimulator:
         frames carry their ``retries`` count, and bus-off nodes fall
         silent.  Attached sources exposing ``targeted_faults()`` (the
         bus-off attacker) contribute hooks even when ``faults`` is None.
+        Faulted or not, the window replays through one event loop; a
+        model that perturbs nothing in the window leaves it with no plan.
         """
         if duration <= 0:
             raise CANError(f"duration must be positive, got {duration}")
@@ -122,59 +129,12 @@ class BusSimulator:
         for source in self.sources:
             releases.extend(source.frames(duration))
         releases.sort(key=lambda s: s.release_time)
-        if effective is not None:
-            plan = _fault_plan_for_releases(releases, self.bitrate, effective)
-            if not plan.clean:
-                return _run_faulted(releases, duration, self.bitrate, plan)
-            # A clean plan (zero-rate model, no targets drawn) changes
-            # nothing: fall through to the clean loop.
-
-        records: list[BusRecord] = []
-        # Arbitration pool: (can_id, release_time, sequence) -> scheduled frame.
-        pending: list[tuple[int, float, int, ScheduledFrame]] = []
-        index = 0
-        sequence = 0
-        bus_free_at = 0.0
-
-        while index < len(releases) or pending:
-            if not pending:
-                # Bus idle and nothing queued: jump to the next release.
-                next_release = releases[index].release_time
-                start_candidate = max(bus_free_at, next_release)
-            else:
-                start_candidate = max(bus_free_at, pending[0][3].release_time)
-            # Everyone released by the idle point participates in arbitration.
-            while index < len(releases) and releases[index].release_time <= start_candidate:
-                scheduled = releases[index]
-                heapq.heappush(
-                    pending,
-                    (scheduled.frame.can_id, scheduled.release_time, sequence, scheduled),
-                )
-                sequence += 1
-                index += 1
-            if not pending:
-                continue
-            _, _, _, winner = heapq.heappop(pending)
-            start = max(bus_free_at, winner.release_time)
-            end = start + winner.frame.duration(self.bitrate)
-            if end > duration:
-                # The capture horizon falls while this frame is (or
-                # would be) on the wire: it never completes within the
-                # window, and the serialised bus stays busy past the
-                # horizon, so nothing behind it can complete either.
-                break
-            records.append(
-                BusRecord(
-                    timestamp=end,
-                    frame=winner.frame,
-                    label=winner.label,
-                    source=winner.source,
-                    queued_at=winner.release_time,
-                    started_at=start,
-                )
-            )
-            bus_free_at = end
-        return records
+        plan = (
+            _fault_plan_for_releases(releases, self.bitrate, effective)
+            if effective is not None
+            else None
+        )
+        return _arbitrate(releases, duration, self.bitrate, plan)
 
     def capture(
         self, duration: float, faults: WireFaultModel | None = None
@@ -205,7 +165,7 @@ class BusSimulator:
 
 def _fault_plan_for_releases(
     releases: Sequence[ScheduledFrame], bitrate: float, faults: WireFaultModel
-) -> FaultPlan:
+) -> FaultPlan | None:
     """The event engine's side of the shared fault plan.
 
     Builds the release-sorted schedule columns the plan is defined
@@ -222,33 +182,41 @@ def _fault_plan_for_releases(
         (s.frame.bit_length() for s in releases), dtype=np.int64, count=n
     )
     sources = np.asarray([s.source for s in releases], dtype=np.str_)
-    return faults.plan(release_times, can_ids, wire_bits, sources, bitrate)
+    return faults.perturbing_plan(release_times, can_ids, wire_bits, sources, bitrate)
 
 
-def _run_faulted(
+def _arbitrate(
     releases: list[ScheduledFrame],
     duration: float,
     bitrate: float,
-    plan: FaultPlan,
+    plan: FaultPlan | None,
 ) -> list[BusRecord]:
-    """The faulted event loop: error frames, retransmission, bus-off.
+    """The event loop: priority arbitration, error frames, retransmission.
 
-    Same arbitration semantics as the clean loop, with three additions
-    driven by the precomputed :class:`~repro.can.faults.FaultPlan`:
-    rows of a bus-off node never enter arbitration; a corrupted attempt
-    occupies the wire for the frame plus an error frame, then re-queues
-    at its completion time for re-arbitration; the heap key gains the
-    entry release and a push sequence so retransmissions order exactly
-    like fresh releases.
+    Whenever the bus goes idle, every frame released by then joins a
+    heap keyed ``(can_id, entry release, push sequence)`` and the lowest
+    identifier wins.  The :class:`~repro.can.faults.FaultPlan` adds
+    three things: rows of a bus-off node never enter arbitration; a
+    corrupted attempt occupies the wire for the frame plus an error
+    frame, then re-queues with its completion time as entry release and
+    a fresh sequence, so it orders exactly like a fresh release; and a
+    frame whose node goes bus-off is never retransmitted.  ``plan`` None
+    means no corrupted attempts, every row queued and every row
+    transmitted.
     """
     n = len(releases)
     release_f = [s.release_time for s in releases]
-    durations = [s.frame.bit_length() / bitrate for s in releases]
-    error_s = plan.error_s
-    left = plan.attempts.tolist()
-    attempts_total = plan.attempts.tolist()
-    queued = plan.queued.tolist()
-    transmit = plan.transmit.tolist()
+    if plan is None:
+        error_s = 0.0
+        left = [0] * n
+        queued = [True] * n
+        transmit = [True] * n
+    else:
+        error_s = plan.error_s
+        left = plan.attempts.tolist()
+        queued = plan.queued.tolist()
+        transmit = plan.transmit.tolist()
+    attempts_total = list(left)
 
     records: list[BusRecord] = []
     # Arbitration pool: (can_id, entry release, push sequence, row).
@@ -262,61 +230,55 @@ def _run_faulted(
                 index += 1  # bus-off node: the frame is never offered
             if index >= n:
                 break
-            next_release = release_f[index]
-            start_candidate = max(bus_free_at, next_release)
+            # Bus idle and nothing queued: jump to the next release.
+            start_candidate = max(bus_free_at, release_f[index])
         else:
             start_candidate = max(bus_free_at, pending[0][1])
+        # Everyone released by the idle point participates in arbitration.
         while index < n and release_f[index] <= start_candidate:
             if queued[index]:
-                scheduled = releases[index]
                 heapq.heappush(
                     pending,
-                    (scheduled.frame.can_id, release_f[index], sequence, index),
+                    (releases[index].frame.can_id, release_f[index], sequence, index),
                 )
                 sequence += 1
             index += 1
         if not pending:
             continue
         can_id, entry_release, _, winner = heapq.heappop(pending)
-        start = max(bus_free_at, entry_release)
-        if left[winner] > 0:
-            end = start + durations[winner] + error_s
-        else:
-            end = start + durations[winner]
-        if end > duration:
-            break  # horizon falls while this (attempt) is on the wire
         scheduled = releases[winner]
-        if left[winner] > 0:
+        corrupted = left[winner] > 0
+        start = max(bus_free_at, entry_release)
+        end = start + scheduled.frame.bit_length() / bitrate
+        if corrupted:
+            end += error_s
+        if end > duration:
+            # The capture horizon falls while this frame (or attempt) is
+            # on the wire: it never completes within the window, and the
+            # serialised bus stays busy past the horizon, so nothing
+            # behind it can complete either.
+            break
+        retries = attempts_total[winner] - left[winner]
+        dead = False
+        if corrupted:
             left[winner] -= 1
             dead = left[winner] == 0 and not transmit[winner]
-            records.append(
-                BusRecord(
-                    timestamp=end,
-                    frame=scheduled.frame,
-                    label=scheduled.label,
-                    source=scheduled.source,
-                    queued_at=release_f[winner],
-                    started_at=start,
-                    corrupted=True,
-                    retries=attempts_total[winner] - 1 - left[winner],
-                    bus_off=dead,
-                )
-            )
             if not dead:
                 heapq.heappush(pending, (can_id, end, sequence, winner))
                 sequence += 1
-        else:
-            records.append(
-                BusRecord(
-                    timestamp=end,
-                    frame=scheduled.frame,
-                    label=scheduled.label,
-                    source=scheduled.source,
-                    queued_at=release_f[winner],
-                    started_at=start,
-                    retries=attempts_total[winner],
-                )
+        records.append(
+            BusRecord(
+                timestamp=end,
+                frame=scheduled.frame,
+                label=scheduled.label,
+                source=scheduled.source,
+                queued_at=release_f[winner],
+                started_at=start,
+                corrupted=corrupted,
+                retries=retries,
+                bus_off=dead,
             )
+        )
         bus_free_at = end
     return records
 

@@ -17,10 +17,11 @@ This module is the *compute* engine for the same physics:
   bit stuffing + trailer) for whole schedules at once, collapsing
   duplicate ``(id, payload)`` rows first, so a DoS flood costs one CRC
   instead of tens of thousands.
-* :func:`simulate_arbitration` — arbitration replay as a columnar
-  sweep.  Uncontended stretches (each frame completes before the next
-  release) are resolved in vectorised runs; only genuinely contended
-  busy periods fall back to a tight heap loop over primitive tuples.
+* :func:`simulate_arbitration` — arbitration replay as one columnar
+  sweep, faulted or not.  Uncontended stretches (each frame completes
+  before the next release) are resolved in vectorised runs; only
+  genuinely contended busy periods, and rows the wire-fault plan
+  touches, drop to a tight heap loop over primitive tuples.
 
 **Bit-exactness.**  The kernel reproduces ``BusSimulator.run`` exactly:
 same winners, same timestamps (the same IEEE operations in the same
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -491,9 +491,9 @@ class ArbitrationResult:
     wire-fault attribution columns: ``corrupted`` flags records that
     are corrupted attempts (one capture row per attempt — schedule rows
     may repeat), ``retries`` counts a record's earlier attempts, and
-    ``bus_off`` marks the attempt that silenced its sender.  They stay
-    ``None`` on the clean path (use the ``*_mask``/``retry_counts``
-    accessors for a uniform view).
+    ``bus_off`` marks the attempt that silenced its sender.  They are
+    ``None`` when the plan perturbs nothing (use the
+    ``*_mask``/``retry_counts`` accessors for a uniform view).
     """
 
     capture: "CaptureArray"
@@ -579,80 +579,94 @@ def simulate_arbitration(
 
     ``schedule`` must be release-sorted (ties in the attach/emission
     order the event engine uses — :func:`build_schedule` guarantees
-    both).  The sweep partitions the timeline with a precomputed
-    *independence chain* (``release[k+1] >= release[k] + duration[k]``,
-    the same single IEEE comparison the event loop would make): maximal
-    uncontended runs are emitted vectorised, and only genuinely
-    contended busy periods run the heap loop — over primitive tuples,
-    with every float operation identical to ``BusSimulator.run``, so
-    winners, timestamps and horizon drops are bit-exact, not merely
-    close.
+    both).  One sweep partitions the timeline with a precomputed
+    *singleton mask*: the independence chain (``release[k+1] >=
+    release[k] + duration[k]``, the same single IEEE comparison the
+    event loop would make) AND the rows the fault plan leaves alone.
+    Maximal singleton runs are emitted vectorised; only the busy periods
+    between them replay in a heap loop over primitive tuples, with every
+    float operation identical to ``BusSimulator.run``, so winners,
+    timestamps and horizon drops are bit-exact, not merely close.
 
     ``faults`` enables the wire-fault layer (:mod:`repro.can.faults`),
     bit-exact against ``BusSimulator.run(..., faults=)``: the shared
     :class:`~repro.can.faults.FaultPlan` decides corruptions before the
-    sweep, clean uncontended stretches stay vectorised, and faulted or
-    silenced rows drop to the heap loop.
+    sweep.  Busy periods replay one of two ways, chosen by the plan:
+
+    * no plan: the batched same-priority resolver, which serves a
+      winning identifier's queued frames back-to-back;
+    * a plan that perturbs something: the faulted event loop's
+      ``(can_id, entry release, sequence)`` replay, where corrupted
+      attempts charge an error frame and re-arbitrate from its end and
+      bus-off rows never queue.
+
+    The two cannot merge bit-exactly: the resolver pops same-id heap
+    entries before its run queue, an order a retransmission re-keyed at
+    its error-frame end breaks.
+
+    The ``corrupted``/``retries``/``bus_off`` columns of the result are
+    ``None`` exactly when the plan perturbs nothing — no model, a model
+    that draws nothing over the window, or an empty schedule; the
+    ``*_mask``/``retry_counts`` accessors give the same view either way.
     """
     if duration <= 0:
         raise CANError(f"duration must be positive, got {duration}")
     if bitrate <= 0:
         raise CANError(f"bitrate must be positive, got {bitrate}")
-    if faults is not None:
-        return _simulate_arbitration_faulted(schedule, bitrate, duration, faults)
     from repro.can.log import CaptureArray
 
     n = len(schedule)
     releases = schedule.release_times
-    if n == 0:
-        return ArbitrationResult(
-            capture=CaptureArray(
-                timestamps=np.zeros(0, dtype=np.float64),
-                can_ids=np.zeros(0, dtype=np.int64),
-                dlcs=np.zeros(0, dtype=np.int64),
-                payloads=np.zeros((0, _PAYLOAD_SLOTS), dtype=np.uint8),
-                labels=np.zeros(0, dtype=np.int64),
-            ),
-            sources=schedule.sources,
-            queued_at=np.zeros(0, dtype=np.float64),
-            started_at=np.zeros(0, dtype=np.float64),
-            wire_bits=np.zeros(0, dtype=np.int64),
-            schedule_indices=np.zeros(0, dtype=np.int64),
-            bitrate=float(bitrate),
-            duration=float(duration),
-        )
     if np.any(np.diff(releases) < 0):
         raise CANError("simulate_arbitration needs a release-sorted schedule")
 
     wire_bits = schedule.resolved_wire_bits()
     durations = wire_bits / float(bitrate)
+    plan = (
+        faults.perturbing_plan(
+            releases, schedule.can_ids, wire_bits, schedule.sources, bitrate
+        )
+        if faults is not None
+        else None
+    )
     #: completion time if frame k transmits the instant it is released
     solo_ends = releases + durations
-    # chain[k]: frame k+1 releases at or after frame k's solo completion
-    # — the exact comparison deciding whether the bus goes idle between
-    # them.  chain[k] true for a frame that starts fresh means it is a
-    # singleton busy period, resolvable without arbitration.
-    chain = np.empty(n, dtype=bool)
-    if n > 1:
-        chain[:-1] = releases[1:] >= solo_ends[:-1]
-    chain[-1] = True
-    contended = np.flatnonzero(~chain)
+    # singleton[k]: frame k+1 releases at or after frame k's solo
+    # completion — the exact comparison deciding whether the bus goes
+    # idle between them — and the plan leaves row k alone.  A singleton
+    # that starts fresh is a busy period of its own, resolvable without
+    # arbitration.
+    singleton = np.ones(n, dtype=bool)
+    singleton[:-1] = releases[1:] >= solo_ends[:-1]
+    if plan is not None:
+        singleton &= (plan.attempts == 0) & plan.queued
+    contended = np.flatnonzero(~singleton)
 
-    out_index = np.empty(n, dtype=np.int64)
-    out_start = np.empty(n, dtype=np.float64)
-    out_end = np.empty(n, dtype=np.float64)
+    capacity = n + (plan.total_attempts if plan is not None else 0)
+    out_index = np.empty(capacity, dtype=np.int64)
+    out_start = np.empty(capacity, dtype=np.float64)
+    out_end = np.empty(capacity, dtype=np.float64)
+    out_corr = np.zeros(capacity, dtype=bool)
+    out_retry = np.zeros(capacity, dtype=np.int64)
+    out_boff = np.zeros(capacity, dtype=bool)
     count = 0
 
-    # Primitive views for the scalar busy-period loop (built lazily).
-    releases_list: list[float] | None = None
-    durations_list: list[float] | None = None
-    ids_list: list[int] | None = None
-    chain_list: list[bool] | None = None
+    # Primitive views for the busy-period replays, built on the first
+    # busy period (a window of singletons never pays for them).
+    releases_list: list[float] = []
+    durations_list: list[float] = []
+    ids_list: list[int] = []
+    singleton_list: list[bool] = []
+    queued_list: list[bool] = []
+    transmit_list: list[bool] = []
+    left: list[int] = []
+    attempts_total: list[int] = []
 
     i = 0
     free = 0.0
+    sequence = 0
     while i < n:
-        if releases[i] >= free and chain[i]:
+        if releases[i] >= free and singleton[i]:
             # Vectorised run of singleton busy periods: every frame up
             # to the next contention point starts at its release and
             # completes solo (start = release, end = release + duration
@@ -667,115 +681,169 @@ def simulate_arbitration(
             free = float(solo_ends[j - 1])
             i = j
             continue
-        # Contended stretch: exact event-loop replay over primitives.
-        if releases_list is None:
+        if not ids_list:
             releases_list = releases.tolist()
             durations_list = durations.tolist()
             ids_list = schedule.can_ids.tolist()
-            chain_list = chain.tolist()
-        assert durations_list is not None
-        assert ids_list is not None
-        assert chain_list is not None
-        pending: list[tuple[int, int]] = []
-        run_queue: deque[int] = deque()
+            singleton_list = singleton.tolist()
+            if plan is not None:
+                queued_list = plan.queued.tolist()
+                transmit_list = plan.transmit.tolist()
+                left = plan.attempts.tolist()
+                attempts_total = plan.attempts.tolist()
         block_index: list[int] = []
         block_start: list[float] = []
         block_end: list[float] = []
-        while True:
-            if not pending:
-                if i >= n or (releases_list[i] >= free and chain_list[i]):
-                    break  # bus idle again and the next frame is a singleton
-                next_release = releases_list[i]
-                candidate = next_release if next_release > free else free
-            else:
-                root_release = releases_list[pending[0][1]]
-                candidate = root_release if root_release > free else free
-            # Everyone released by the idle point joins arbitration;
-            # (can_id, index) orders exactly like the event engine's
-            # (can_id, release_time, sequence) because admission is in
-            # release-sorted order.
-            while i < n and releases_list[i] <= candidate:
-                heapq.heappush(pending, (ids_list[i], i))
-                i += 1
-            m, winner = heapq.heappop(pending)
-            release = releases_list[winner]
-            start = release if release > free else free
-            end = start + durations_list[winner]
-            block_index.append(winner)
-            block_start.append(start)
-            block_end.append(end)
-            free = end
-            # Batched same-priority run: while the winning identifier
-            # keeps winning, serve its frames back-to-back without the
-            # per-frame heap churn and candidate recomputation.  Two
-            # invariants make this bit-exact with the plain loop above:
-            # every heap entry's release is <= free (so candidate would
-            # equal free), and an admitted frame's start is therefore
-            # exactly free.  Same-id frames already in the heap carry
-            # smaller schedule indices than anything admitted here, so
-            # popping them before the run queue preserves (id, index)
-            # order.  Breaking out at any point leaves (emitted, heap,
-            # i, free) in a state the plain loop reaches too.
+        if plan is None:
+            # Contended stretch: exact event-loop replay over primitives.
+            pending: list[tuple[int, int]] = []
+            run_queue: deque[int] = deque()
             while True:
-                if (
-                    not run_queue
-                    and (not pending or pending[0][0] > m)
-                    and i < n
-                    and ids_list[i] == m
-                    and releases_list[i] <= free
-                ):
-                    # Contiguous stretch of schedule rows all carrying id
-                    # m: resolve the saturated prefix in one vectorised
-                    # slice.  np.add.accumulate is sequential, so the
-                    # back-to-back completions are the identical IEEE
-                    # additions the scalar loop would perform.
-                    j = i + 1
-                    while j < n and ids_list[j] == m:
-                        j += 1
-                    if j - i >= 8:
-                        limit = releases_list[j] if j < n else float("inf")
-                        ends = np.add.accumulate(
-                            np.concatenate(
-                                (np.array([free], dtype=np.float64), durations[i:j])
-                            )
-                        )[1:]
-                        begins = np.concatenate(
-                            (np.array([free], dtype=np.float64), ends[:-1])
-                        )
-                        # Serve while each frame is released by its start
-                        # and nothing outside the run would join
-                        # arbitration first.
-                        ok = (releases[i:j] <= begins) & (begins < limit)
-                        served = j - i if bool(ok.all()) else int(np.argmin(ok))
-                        if served:
-                            block_index.extend(range(i, i + served))
-                            block_start.extend(begins[:served].tolist())
-                            block_end.extend(ends[:served].tolist())
-                            free = float(ends[served - 1])
-                            i += served
-                            continue
-                while i < n and releases_list[i] <= free:
-                    cid = ids_list[i]
-                    if cid == m:
-                        run_queue.append(i)
-                    else:
-                        heapq.heappush(pending, (cid, i))
-                    i += 1
-                if pending and pending[0][0] <= m:
-                    if pending[0][0] < m:
-                        break  # a higher-priority id preempts the run
-                    _, nxt = heapq.heappop(pending)
-                elif run_queue:
-                    nxt = run_queue.popleft()
+                if not pending:
+                    if i >= n or (releases_list[i] >= free and singleton_list[i]):
+                        break  # bus idle again and the next frame is a singleton
+                    next_release = releases_list[i]
+                    candidate = next_release if next_release > free else free
                 else:
-                    break  # nothing released that id m outranks
-                block_index.append(nxt)
-                block_start.append(free)
-                end = free + durations_list[nxt]
+                    root_release = releases_list[pending[0][1]]
+                    candidate = root_release if root_release > free else free
+                # Everyone released by the idle point joins arbitration;
+                # (can_id, index) orders exactly like the event engine's
+                # (can_id, release_time, sequence) because admission is in
+                # release-sorted order.
+                while i < n and releases_list[i] <= candidate:
+                    heapq.heappush(pending, (ids_list[i], i))
+                    i += 1
+                m, winner = heapq.heappop(pending)
+                release = releases_list[winner]
+                start = release if release > free else free
+                end = start + durations_list[winner]
+                block_index.append(winner)
+                block_start.append(start)
                 block_end.append(end)
                 free = end
-            while run_queue:  # unserved run frames rejoin arbitration
-                heapq.heappush(pending, (m, run_queue.popleft()))
+                # Batched same-priority run: while the winning identifier
+                # keeps winning, serve its frames back-to-back without the
+                # per-frame heap churn and candidate recomputation.  Two
+                # invariants make this bit-exact with the plain loop above:
+                # every heap entry's release is <= free (so candidate would
+                # equal free), and an admitted frame's start is therefore
+                # exactly free.  Same-id frames already in the heap carry
+                # smaller schedule indices than anything admitted here, so
+                # popping them before the run queue preserves (id, index)
+                # order.  Breaking out at any point leaves (emitted, heap,
+                # i, free) in a state the plain loop reaches too.
+                while True:
+                    if (
+                        not run_queue
+                        and (not pending or pending[0][0] > m)
+                        and i < n
+                        and ids_list[i] == m
+                        and releases_list[i] <= free
+                    ):
+                        # Contiguous stretch of schedule rows all carrying id
+                        # m: resolve the saturated prefix in one vectorised
+                        # slice.  np.add.accumulate is sequential, so the
+                        # back-to-back completions are the identical IEEE
+                        # additions the scalar loop would perform.
+                        j = i + 1
+                        while j < n and ids_list[j] == m:
+                            j += 1
+                        if j - i >= 8:
+                            limit = releases_list[j] if j < n else float("inf")
+                            ends = np.add.accumulate(
+                                np.concatenate(
+                                    (np.array([free], dtype=np.float64), durations[i:j])
+                                )
+                            )[1:]
+                            begins = np.concatenate(
+                                (np.array([free], dtype=np.float64), ends[:-1])
+                            )
+                            # Serve while each frame is released by its start
+                            # and nothing outside the run would join
+                            # arbitration first.
+                            ok = (releases[i:j] <= begins) & (begins < limit)
+                            served = j - i if bool(ok.all()) else int(np.argmin(ok))
+                            if served:
+                                block_index.extend(range(i, i + served))
+                                block_start.extend(begins[:served].tolist())
+                                block_end.extend(ends[:served].tolist())
+                                free = float(ends[served - 1])
+                                i += served
+                                continue
+                    while i < n and releases_list[i] <= free:
+                        cid = ids_list[i]
+                        if cid == m:
+                            run_queue.append(i)
+                        else:
+                            heapq.heappush(pending, (cid, i))
+                        i += 1
+                    if pending and pending[0][0] <= m:
+                        if pending[0][0] < m:
+                            break  # a higher-priority id preempts the run
+                        _, nxt = heapq.heappop(pending)
+                    elif run_queue:
+                        nxt = run_queue.popleft()
+                    else:
+                        break  # nothing released that id m outranks
+                    block_index.append(nxt)
+                    block_start.append(free)
+                    end = free + durations_list[nxt]
+                    block_end.append(end)
+                    free = end
+                while run_queue:  # unserved run frames rejoin arbitration
+                    heapq.heappush(pending, (m, run_queue.popleft()))
+        else:
+            # Faulted busy period: exact replay of the faulted event loop.
+            pending_attempts: list[tuple[int, float, int, int]] = []
+            block_corr: list[bool] = []
+            block_retry: list[int] = []
+            block_boff: list[bool] = []
+            while True:
+                if not pending_attempts:
+                    while i < n and not queued_list[i]:
+                        i += 1  # bus-off node: the frame is never offered
+                    if i >= n or (releases_list[i] >= free and singleton_list[i]):
+                        break  # bus idle again and the next row is a clean singleton
+                    next_release = releases_list[i]
+                    candidate = next_release if next_release > free else free
+                else:
+                    root_release = pending_attempts[0][1]
+                    candidate = root_release if root_release > free else free
+                while i < n and releases_list[i] <= candidate:
+                    if queued_list[i]:
+                        heapq.heappush(
+                            pending_attempts, (ids_list[i], releases_list[i], sequence, i)
+                        )
+                        sequence += 1
+                    i += 1
+                if not pending_attempts:
+                    continue
+                can_id, entry_release, _, winner = heapq.heappop(pending_attempts)
+                corrupted = left[winner] > 0
+                start = entry_release if entry_release > free else free
+                end = start + durations_list[winner]
+                block_retry.append(attempts_total[winner] - left[winner])
+                dead = False
+                if corrupted:
+                    end += plan.error_s
+                    left[winner] -= 1
+                    dead = left[winner] == 0 and not transmit_list[winner]
+                    if not dead:
+                        # The retransmission re-arbitrates from its error
+                        # frame's completion.
+                        heapq.heappush(pending_attempts, (can_id, end, sequence, winner))
+                        sequence += 1
+                block_corr.append(corrupted)
+                block_boff.append(dead)
+                block_index.append(winner)
+                block_start.append(start)
+                block_end.append(end)
+                free = end
+            stop = count + len(block_index)
+            out_corr[count:stop] = block_corr
+            out_retry[count:stop] = block_retry
+            out_boff[count:stop] = block_boff
         emitted = len(block_index)
         out_index[count : count + emitted] = block_index
         out_start[count : count + emitted] = block_start
@@ -794,6 +862,7 @@ def simulate_arbitration(
         payloads=schedule.payloads[survivors],
         labels=schedule.labels[survivors],
     )
+    with_faults = plan is not None
     return ArbitrationResult(
         capture=capture,
         sources=schedule.sources[survivors],
@@ -803,214 +872,7 @@ def simulate_arbitration(
         schedule_indices=survivors.copy(),
         bitrate=float(bitrate),
         duration=float(duration),
-    )
-
-
-def _simulate_arbitration_faulted(
-    schedule: ScheduleArray,
-    bitrate: float,
-    duration: float,
-    faults: "WireFaultModel",
-) -> ArbitrationResult:
-    """The faulted columnar sweep: error frames, retransmission, bus-off.
-
-    The shared :class:`~repro.can.faults.FaultPlan` is resolved over the
-    release-sorted columns first, so corruption draws and bus-off times
-    are identical to the event engine's.  Rows the plan leaves alone
-    keep the clean engine's vectorised singleton runs; rows with
-    corrupted attempts — whose retransmissions re-enter arbitration at
-    their error-frame completion — and rows of silenced nodes run the
-    scalar heap loop, whose keys gain the entry release and a push
-    sequence exactly as the faulted event loop's do.  Schedule rows may
-    emit several records (one per attempt plus the final success);
-    completion times stay non-decreasing, so the horizon prefix cut is
-    unchanged.
-    """
-    from repro.can.log import CaptureArray
-
-    n = len(schedule)
-    releases = schedule.release_times
-    if n == 0:
-        empty = simulate_arbitration(schedule, bitrate, duration)
-        return ArbitrationResult(
-            capture=empty.capture,
-            sources=empty.sources,
-            queued_at=empty.queued_at,
-            started_at=empty.started_at,
-            wire_bits=empty.wire_bits,
-            schedule_indices=empty.schedule_indices,
-            bitrate=float(bitrate),
-            duration=float(duration),
-            corrupted=np.zeros(0, dtype=bool),
-            retries=np.zeros(0, dtype=np.int64),
-            bus_off=np.zeros(0, dtype=bool),
-        )
-    if np.any(np.diff(releases) < 0):
-        raise CANError("simulate_arbitration needs a release-sorted schedule")
-
-    wire_bits = schedule.resolved_wire_bits()
-    durations = wire_bits / float(bitrate)
-    plan = faults.plan(releases, schedule.can_ids, wire_bits, schedule.sources, bitrate)
-    if plan.clean:
-        # The model drew nothing over this window: the clean kernel is
-        # bit-identical, so a zero-rate model costs only the plan.  The
-        # resolved wire bits ride along so the length kernel runs once.
-        return simulate_arbitration(
-            dataclasses.replace(schedule, wire_bits=wire_bits), bitrate, duration
-        )
-    error_s = plan.error_s
-    solo_ends = releases + durations
-    chain = np.empty(n, dtype=bool)
-    if n > 1:
-        chain[:-1] = releases[1:] >= solo_ends[:-1]
-    chain[-1] = True
-    # Rows the plan touches (extra attempts, or silenced entirely) bound
-    # the vectorised runs exactly like contention does.
-    affected = (plan.attempts > 0) | ~plan.queued
-    contended = np.flatnonzero(~chain | affected)
-
-    capacity = n + plan.total_attempts
-    out_index = np.empty(capacity, dtype=np.int64)
-    out_start = np.empty(capacity, dtype=np.float64)
-    out_end = np.empty(capacity, dtype=np.float64)
-    out_corr = np.zeros(capacity, dtype=bool)
-    out_retry = np.zeros(capacity, dtype=np.int64)
-    out_boff = np.zeros(capacity, dtype=bool)
-    count = 0
-
-    # Primitive views for the scalar busy-period loop (built lazily).
-    releases_list: list[float] | None = None
-    durations_list: list[float] | None = None
-    ids_list: list[int] | None = None
-    chain_list: list[bool] | None = None
-    affected_list: list[bool] | None = None
-    queued_list: list[bool] | None = None
-    left: list[int] | None = None
-    attempts_total: list[int] | None = None
-    transmit_list: list[bool] | None = None
-
-    i = 0
-    free = 0.0
-    sequence = 0
-    while i < n:
-        if releases[i] >= free and chain[i] and not affected[i]:
-            # Clean vectorised run, identical to the fault-free engine:
-            # every row up to the next contended/affected index starts
-            # at its release and completes solo.
-            position = np.searchsorted(contended, i)
-            j = int(contended[position]) if position < contended.size else n
-            run = j - i
-            out_index[count : count + run] = np.arange(i, j, dtype=np.int64)
-            out_start[count : count + run] = releases[i:j]
-            out_end[count : count + run] = solo_ends[i:j]
-            count += run
-            free = float(solo_ends[j - 1])
-            i = j
-            continue
-        if releases_list is None:
-            releases_list = releases.tolist()
-            durations_list = durations.tolist()
-            ids_list = schedule.can_ids.tolist()
-            chain_list = chain.tolist()
-            affected_list = affected.tolist()
-            queued_list = plan.queued.tolist()
-            left = plan.attempts.tolist()
-            attempts_total = plan.attempts.tolist()
-            transmit_list = plan.transmit.tolist()
-        assert durations_list is not None
-        assert ids_list is not None
-        assert chain_list is not None
-        assert affected_list is not None
-        assert queued_list is not None
-        assert left is not None
-        assert attempts_total is not None
-        assert transmit_list is not None
-        # Faulted busy period: exact replay of the faulted event loop.
-        pending: list[tuple[int, float, int, int]] = []
-        block_index: list[int] = []
-        block_start: list[float] = []
-        block_end: list[float] = []
-        block_corr: list[bool] = []
-        block_retry: list[int] = []
-        block_boff: list[bool] = []
-        while True:
-            if not pending:
-                while i < n and not queued_list[i]:
-                    i += 1  # bus-off node: the frame is never offered
-                if i >= n or (
-                    releases_list[i] >= free
-                    and chain_list[i]
-                    and not affected_list[i]
-                ):
-                    break  # bus idle again and the next row is a clean singleton
-                next_release = releases_list[i]
-                candidate = next_release if next_release > free else free
-            else:
-                root_release = pending[0][1]
-                candidate = root_release if root_release > free else free
-            while i < n and releases_list[i] <= candidate:
-                if queued_list[i]:
-                    heapq.heappush(
-                        pending, (ids_list[i], releases_list[i], sequence, i)
-                    )
-                    sequence += 1
-                i += 1
-            if not pending:
-                continue
-            can_id, entry_release, _, winner = heapq.heappop(pending)
-            start = entry_release if entry_release > free else free
-            if left[winner] > 0:
-                end = start + durations_list[winner] + error_s
-                left[winner] -= 1
-                dead = left[winner] == 0 and not transmit_list[winner]
-                block_index.append(winner)
-                block_start.append(start)
-                block_end.append(end)
-                block_corr.append(True)
-                block_retry.append(attempts_total[winner] - 1 - left[winner])
-                block_boff.append(dead)
-                if not dead:
-                    # The retransmission re-arbitrates from its error
-                    # frame's completion.
-                    heapq.heappush(pending, (can_id, end, sequence, winner))
-                    sequence += 1
-            else:
-                end = start + durations_list[winner]
-                block_index.append(winner)
-                block_start.append(start)
-                block_end.append(end)
-                block_corr.append(False)
-                block_retry.append(attempts_total[winner])
-                block_boff.append(False)
-            free = end
-        emitted = len(block_index)
-        out_index[count : count + emitted] = block_index
-        out_start[count : count + emitted] = block_start
-        out_end[count : count + emitted] = block_end
-        out_corr[count : count + emitted] = block_corr
-        out_retry[count : count + emitted] = block_retry
-        out_boff[count : count + emitted] = block_boff
-        count += emitted
-
-    kept = int(np.searchsorted(out_end[:count], duration, side="right"))
-    survivors = out_index[:kept]
-    capture = CaptureArray(
-        timestamps=out_end[:kept].copy(),
-        can_ids=schedule.can_ids[survivors],
-        dlcs=schedule.dlcs[survivors],
-        payloads=schedule.payloads[survivors],
-        labels=schedule.labels[survivors],
-    )
-    return ArbitrationResult(
-        capture=capture,
-        sources=schedule.sources[survivors],
-        queued_at=schedule.release_times[survivors],
-        started_at=out_start[:kept].copy(),
-        wire_bits=wire_bits[survivors],
-        schedule_indices=survivors.copy(),
-        bitrate=float(bitrate),
-        duration=float(duration),
-        corrupted=out_corr[:kept].copy(),
-        retries=out_retry[:kept].copy(),
-        bus_off=out_boff[:kept].copy(),
+        corrupted=out_corr[:kept].copy() if with_faults else None,
+        retries=out_retry[:kept].copy() if with_faults else None,
+        bus_off=out_boff[:kept].copy() if with_faults else None,
     )

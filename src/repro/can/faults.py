@@ -291,6 +291,19 @@ class WireFaultModel:
             node_states=node_states,
         )
 
+    def perturbing_plan(
+        self,
+        release_times: np.ndarray,
+        can_ids: np.ndarray,
+        wire_bits: np.ndarray,
+        sources: np.ndarray,
+        bitrate: float,
+    ) -> FaultPlan | None:
+        """:meth:`plan`, or ``None`` (what both engines replay as a clean
+        bus) when the plan perturbs nothing over these rows."""
+        plan = self.plan(release_times, can_ids, wire_bits, sources, bitrate)
+        return None if plan.clean else plan
+
     def _confine(
         self,
         release_times: np.ndarray,

@@ -32,18 +32,14 @@ runner takes.  ``backend="auto"`` (default) picks process fan-out on
 multi-core hosts (picklable IPs shipped once via the pool initializer)
 and threads elsewhere; every seed derives from the scenario's registry
 index, so results are order-stable and identical to the serial loop.
-The resolved backend and engine are recorded on the result.  The old
-loose keyword arguments (``fifo_capacity=``, ``backend=``, ...) still
-work through a deprecation shim that forwards them into an
-:class:`~repro.fleet.spec.ExecOptions` and warns once.
+The resolved backend and engine are recorded on the result.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -302,41 +298,6 @@ def default_sweep_workers(num_scenarios: int) -> int:
     return max(1, min(8, os.cpu_count() or 1, num_scenarios))
 
 
-#: One-shot flag for the loose-kwargs deprecation warning.
-_LOOSE_KWARGS_WARNED = False
-
-
-def _coerce_options(
-    options: ExecOptions | None,
-    loose: dict[str, Any],
-) -> ExecOptions:
-    """Fold the pre-:class:`ExecOptions` keyword arguments into one.
-
-    The old signature's knobs keep working — they forward into an
-    :class:`ExecOptions` and warn once per process — but mixing them
-    with an explicit ``options`` is ambiguous and rejected.
-    """
-    global _LOOSE_KWARGS_WARNED
-    supplied = {key: value for key, value in loose.items() if value is not None}
-    if not supplied:
-        return options if options is not None else ExecOptions()
-    if options is not None:
-        raise ConfigError(
-            f"pass execution knobs via options=ExecOptions(...) or the legacy "
-            f"keywords, not both (got options and {sorted(supplied)})"
-        )
-    if not _LOOSE_KWARGS_WARNED:
-        warnings.warn(
-            "run_campaign_sweep's loose execution keywords "
-            "(fifo_capacity/chunk_size/max_workers/backend/engine) are "
-            "deprecated; pass options=ExecOptions(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        _LOOSE_KWARGS_WARNED = True
-    return ExecOptions(**supplied)
-
-
 def run_campaign_sweep(
     context: ExperimentContext,
     scenarios: Sequence[str] | None = None,
@@ -344,12 +305,6 @@ def run_campaign_sweep(
     duration: float | None = None,
     detector: str = "auto",
     options: ExecOptions | None = None,
-    *,
-    fifo_capacity: int | None = None,
-    chunk_size: int | None = None,
-    max_workers: int | None = None,
-    backend: str | None = None,
-    engine: str | None = None,
 ) -> CampaignSweepResult:
     """Drive every registered scenario through both gateway deployments.
 
@@ -367,21 +322,9 @@ def run_campaign_sweep(
     independent, each builds its own buses, gateways and ECUs from
     scenario-indexed seeds, so the sweep fans them out over the resolved
     backend and stays deterministic — identical across backends and
-    worker counts, ordered by the requested scenario list.  The trailing
-    keyword arguments are the deprecated loose form of the same knobs;
-    they forward into an ``ExecOptions`` and warn once.
+    worker counts, ordered by the requested scenario list.
     """
-    exec_options = _coerce_options(
-        options,
-        {
-            "fifo_capacity": fifo_capacity,
-            "chunk_size": chunk_size,
-            "max_workers": max_workers,
-            "backend": backend,
-            "engine": engine,
-        },
-    )
-    resolved = exec_options.resolved()
+    resolved = (options if options is not None else ExecOptions()).resolved()
     names = list(scenarios) if scenarios is not None else registry.names()
     if not names:
         return CampaignSweepResult(

@@ -40,7 +40,7 @@ from repro.can.frame import CANFrame, crc15, crc15_table
 from repro.can.log import CaptureArray, records_from_bus
 from repro.can.node import PeriodicSender, ScheduledFrame, sensor_payload
 from repro.datasets.carhacking import build_vehicle_bus
-from repro.errors import CANError
+from repro.errors import CANError, ConfigError
 from repro.experiments.campaigns import (
     _SweepConfig,
     _SweepTask,
@@ -521,15 +521,13 @@ class TestProcessBackend:
             experiment_context,
             scenarios=names,
             duration=0.8,
-            max_workers=1,
-            engine="columnar",
+            options=ExecOptions(max_workers=1, engine="columnar"),
         )
         event = run_campaign_sweep(
             experiment_context,
             scenarios=names,
             duration=0.8,
-            max_workers=1,
-            engine="event",
+            options=ExecOptions(max_workers=1, engine="event"),
         )
         assert [(r.scenario, r.mode) for r in columnar.runs] == [
             (r.scenario, r.mode) for r in event.runs
@@ -546,10 +544,11 @@ class TestProcessBackend:
                 np.testing.assert_array_equal(a.report.predictions, b.report.predictions)
 
     def test_unknown_backend_rejected(self, experiment_context):
-        """The deprecation shim still validates what it forwards."""
-        with pytest.raises(Exception, match="unknown backend"):
+        with pytest.raises(ConfigError, match="unknown backend"):
             run_campaign_sweep(
-                experiment_context, scenarios=["baseline-dos"], backend="fiber"
+                experiment_context,
+                scenarios=["baseline-dos"],
+                options=ExecOptions(backend="fiber"),
             )
 
 

@@ -70,6 +70,19 @@ def _assert_faulted_match(records, result):
     )
 
 
+def _assert_same_result(left, right):
+    """Two ArbitrationResults, every column and fault view identical."""
+    for name in ("timestamps", "can_ids", "dlcs", "payloads", "labels"):
+        np.testing.assert_array_equal(
+            getattr(left.capture, name), getattr(right.capture, name)
+        )
+    for name in ("sources", "queued_at", "started_at", "wire_bits", "schedule_indices"):
+        np.testing.assert_array_equal(getattr(left, name), getattr(right, name))
+    np.testing.assert_array_equal(left.corrupted_mask, right.corrupted_mask)
+    np.testing.assert_array_equal(left.retry_counts, right.retry_counts)
+    np.testing.assert_array_equal(left.bus_off_mask, right.bus_off_mask)
+
+
 class TestWireFaultModelValidation:
     @pytest.mark.parametrize(
         "kwargs, fragment",
@@ -254,6 +267,57 @@ class TestEngineEquivalenceUnderFaults:
         assert noisy.capture.timestamps.max() >= clean.capture.timestamps.max()
         retried = noisy.retry_counts[~noisy.corrupted_mask]
         assert int(retried.sum()) > 0, "successful rows must record their retries"
+
+    def test_model_drawing_nothing_in_window_is_no_plan(self):
+        """A live model whose plan draws nothing replays with no plan.
+
+        ``resolve_bus_faults`` keeps a targeted model even when its
+        window lies past the horizon, so the engines themselves must
+        reduce the empty plan to the clean replay, bit for bit.
+        """
+        from repro.can.fastbus import build_schedule, simulate_arbitration
+
+        duration = 1.0
+        late = WireFaultModel(seed=6, targeted=(TargetedFault(5.0, 6.0),))
+        assert resolve_bus_faults([], late) is late
+        assert _noisy_topology(8).run(duration, faults=late) == _noisy_topology(8).run(
+            duration
+        )
+        bus = _noisy_topology(8)
+        schedule = build_schedule(bus.sources, duration)
+        pairs = [
+            (
+                _noisy_topology(8).capture(duration),
+                _noisy_topology(8).capture(duration, faults=late),
+            ),
+            (
+                simulate_arbitration(schedule, bus.bitrate, duration),
+                simulate_arbitration(schedule, bus.bitrate, duration, faults=late),
+            ),
+        ]
+        for clean, gated in pairs:
+            assert len(gated) > 0
+            _assert_same_result(clean, gated)
+            assert gated.corrupted is None
+            assert gated.retries is None
+            assert gated.bus_off is None
+
+    def test_empty_schedule_under_ber_model_has_no_fault_columns(self):
+        from repro.can.bus import BusSimulator
+        from repro.can.fastbus import ScheduleArray, simulate_arbitration
+
+        model = WireFaultModel(seed=1, bit_error_rate=1e-3)
+        direct = simulate_arbitration(ScheduleArray.empty(), 500_000.0, 1.0, faults=model)
+        silent = BusSimulator().capture(1.0, faults=model)
+        assert BusSimulator().run(1.0, faults=model) == []
+        for result in (direct, silent):
+            assert len(result) == 0 and result.schedule_indices.shape == (0,)
+            assert result.corrupted is None
+            assert result.retries is None
+            assert result.bus_off is None
+            assert result.corrupted_mask.shape == (0,)
+            assert result.retry_counts.shape == (0,)
+            assert result.bus_off_mask.shape == (0,)
 
 
 class TestFaultConfinement:
